@@ -1,6 +1,7 @@
 //! A blocking protocol client for tests, the load generator, and scripts.
 
 use crate::protocol::{split_seq, JobSpec, Request, Response};
+use crate::wire::{tune_stream, write_line};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
@@ -42,15 +43,19 @@ impl Client {
 
     /// Connects to a TCP daemon.
     pub fn connect(addr: &str) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
+        Self::over_tcp(TcpStream::connect(addr)?)
+    }
+
+    /// Wraps a connected TCP stream, tuned like every protocol socket.
+    pub(crate) fn over_tcp(stream: TcpStream) -> std::io::Result<Self> {
+        tune_stream(&stream)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Self::new(reader, stream))
     }
 
-    /// Sends one request line.
+    /// Sends one request line, in a single write.
     pub fn send(&mut self, request: &Request) -> std::io::Result<()> {
-        writeln!(self.writer, "{}", request.render())?;
-        self.writer.flush()
+        write_line(&mut self.writer, &request.render())
     }
 
     /// Submits a job.

@@ -56,6 +56,7 @@ pub mod pipe;
 pub mod protocol;
 pub mod scheduler;
 pub mod server;
+mod wire;
 
 pub use client::Client;
 pub use outbox::Outbox;

@@ -26,11 +26,18 @@
 //! `resume <token> <last_seq>` and replay exactly the unacked suffix.
 //! Any other first request serves a classic anonymous session, wire-
 //! compatible with pre-resume daemons.
+//!
+//! Each response line leaves the writer in one `write` (line plus `\n`),
+//! and every accepted TCP socket has Nagle's algorithm off: otherwise a
+//! line's second segment — or a `result` right behind its `accepted` —
+//! waits for the client's ACK, which a client that is not sending
+//! delays by its ~40 ms delayed-ACK timer.
 
 use crate::client::Client;
 use crate::pipe::pipe;
 use crate::protocol::{Request, Response};
 use crate::scheduler::{QuotaConfig, Scheduler, SessionHandle};
+use crate::wire::{tune_stream, write_line};
 use ecs_model::backend::available_parallelism;
 use ecs_model::batching::DEFAULT_LINGER;
 use ecs_model::ThroughputPool;
@@ -166,25 +173,9 @@ impl Daemon {
                 if accept_shared.stopping.load(Ordering::SeqCst) {
                     break;
                 }
-                let Ok(stream) = stream else { continue };
-                let session_shared = Arc::clone(&accept_shared);
-                let closer_stream = match stream.try_clone() {
-                    Ok(clone) => clone,
-                    Err(_) => continue,
-                };
-                // Close only the read side: the reader unblocks with EOF
-                // while the session's writer still flushes queued results.
-                accept_shared.register_closer(Box::new(move || {
-                    let _ = closer_stream.shutdown(std::net::Shutdown::Read);
-                }));
-                let reader = BufReader::new(match stream.try_clone() {
-                    Ok(clone) => clone,
-                    Err(_) => continue,
-                });
-                let handle = std::thread::spawn(move || {
-                    serve_session(&session_shared, reader, stream);
-                });
-                accept_shared.adopt_thread(handle);
+                if let Ok(stream) = stream {
+                    spawn_tcp_session(&accept_shared, stream);
+                }
             }
         });
         Ok(DaemonHandle {
@@ -288,6 +279,26 @@ impl DaemonHandle {
     }
 }
 
+/// Tunes an accepted connection and serves it on a fresh session thread
+/// (dropped silently if the socket cannot be cloned).
+fn spawn_tcp_session(shared: &Arc<DaemonShared>, stream: TcpStream) {
+    // Best-effort: a socket that refuses TCP_NODELAY still serves correctly.
+    let _ = tune_stream(&stream);
+    let (Ok(closer_stream), Ok(read_stream)) = (stream.try_clone(), stream.try_clone()) else {
+        return;
+    };
+    // Close only the read side: the reader unblocks with EOF while the
+    // session's writer still flushes queued results.
+    shared.register_closer(Box::new(move || {
+        let _ = closer_stream.shutdown(std::net::Shutdown::Read);
+    }));
+    let session_shared = Arc::clone(shared);
+    let handle = std::thread::spawn(move || {
+        serve_session(&session_shared, BufReader::new(read_stream), stream);
+    });
+    shared.adopt_thread(handle);
+}
+
 /// Serves one session: binds the session's identity from the connection's
 /// first request (`hello` → fresh resumable session, `resume` → re-attach a
 /// parked one, anything else → anonymous), spawns the writer, runs the
@@ -354,8 +365,7 @@ where
             match resumed {
                 Ok(bound) => bound,
                 Err(message) => {
-                    let _ = writeln!(writer, "{}", Response::Error { message }.render());
-                    let _ = writer.flush();
+                    let _ = write_line(&mut writer, &Response::Error { message }.render());
                     return;
                 }
             }
@@ -373,10 +383,7 @@ where
     let writer_session = Arc::clone(&session);
     let writer_thread = std::thread::spawn(move || {
         while let Some(line) = writer_session.outbox().pop_at(epoch) {
-            if writeln!(writer, "{line}").is_err() {
-                break;
-            }
-            if writer.flush().is_err() {
+            if write_line(&mut writer, &line).is_err() {
                 break;
             }
         }
@@ -456,5 +463,201 @@ where
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .remove(token);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::JobSpec;
+    use std::io::Cursor;
+
+    type Calls = Arc<Mutex<Vec<Vec<u8>>>>;
+
+    /// A `Write` that logs the bytes of every `write` call, then forwards
+    /// them.
+    struct Recording<W> {
+        inner: W,
+        calls: Calls,
+    }
+
+    impl<W: Write> Write for Recording<W> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let written = self.inner.write(buf)?;
+            self.calls.lock().unwrap().push(buf[..written].to_vec());
+            Ok(written)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    fn recording<W: Write>(inner: W) -> (Recording<W>, Calls) {
+        let calls = Calls::default();
+        let writer = Recording {
+            inner,
+            calls: Arc::clone(&calls),
+        };
+        (writer, calls)
+    }
+
+    fn daemon() -> DaemonHandle {
+        Daemon::loopback(DaemonConfig {
+            pool: ThroughputPool::from_jobs(1),
+            ..DaemonConfig::default()
+        })
+    }
+
+    /// [`DaemonHandle::connect`] with both directions recorded: returns the
+    /// client plus the client's and the daemon's `write` calls.
+    fn recorded_session(daemon: &DaemonHandle) -> (Client, Calls, Calls) {
+        let (client_tx, server_rx) = pipe();
+        let (server_tx, client_rx) = pipe();
+        let (server_tx, daemon_calls) = recording(server_tx);
+        let (client_tx, client_calls) = recording(client_tx);
+        let shared = Arc::clone(&daemon.shared);
+        let handle = std::thread::spawn(move || {
+            serve_session(&shared, BufReader::new(server_rx), server_tx);
+        });
+        daemon.shared.adopt_thread(handle);
+        let client = Client::new(BufReader::new(client_rx), client_tx);
+        (client, client_calls, daemon_calls)
+    }
+
+    /// Every `write` call carries exactly one whole `\n`-terminated line;
+    /// returns the lines.
+    fn one_line_per_write(calls: &Calls) -> Vec<String> {
+        calls
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|call| {
+                let text = String::from_utf8(call.clone()).expect("protocol lines are UTF-8");
+                let body = text
+                    .strip_suffix('\n')
+                    .unwrap_or_else(|| panic!("write call {text:?} does not end a line"));
+                assert!(
+                    !body.is_empty() && !body.contains('\n'),
+                    "write call {text:?} is not one whole line"
+                );
+                body.to_string()
+            })
+            .collect()
+    }
+
+    fn job() -> JobSpec {
+        match Request::parse("submit id=j0 dist=uniform:4 n=30 seed=7 algo=er-merge backend=seq") {
+            Ok(Request::Submit(spec)) => spec,
+            other => panic!("bad fixture: {other:?}"),
+        }
+    }
+
+    fn verb(line: &str) -> &str {
+        line.split_whitespace().next().unwrap_or("")
+    }
+
+    #[test]
+    fn anonymous_session_writes_each_line_in_one_call() {
+        let daemon = daemon();
+        let (mut client, client_calls, daemon_calls) = recorded_session(&daemon);
+        client.submit(&job()).unwrap();
+        let done = client.drain().unwrap();
+        assert!(
+            matches!(done.last(), Some(Response::Result { .. })),
+            "{done:?}"
+        );
+        client.ack(1).unwrap();
+        assert!(matches!(
+            client.recv().unwrap(),
+            Some(Response::Error { .. })
+        ));
+        assert_eq!(client.shutdown().unwrap(), vec![Response::Bye]);
+        daemon.join();
+
+        let lines = one_line_per_write(&daemon_calls);
+        let verbs: Vec<&str> = lines.iter().map(|line| verb(line)).collect();
+        assert_eq!(verbs, ["accepted", "result", "drained", "error", "bye"]);
+        let requests = one_line_per_write(&client_calls);
+        let requests: Vec<&str> = requests.iter().map(|line| verb(line)).collect();
+        assert_eq!(requests, ["submit", "drain", "ack", "shutdown"]);
+    }
+
+    #[test]
+    fn hello_session_and_failed_resume_write_each_line_in_one_call() {
+        let daemon = daemon();
+        let (mut client, client_calls, daemon_calls) = recorded_session(&daemon);
+        let token = client.hello().unwrap();
+        client.submit(&job()).unwrap();
+        let done = client.drain().unwrap();
+        assert!(
+            matches!(done.last(), Some(Response::Result { .. })),
+            "{done:?}"
+        );
+        client.ack(client.last_seq()).unwrap();
+
+        // A resume naming an unknown token is answered on the raw writer,
+        // before any session exists.
+        let (raw, raw_calls) = recording(std::io::sink());
+        let resume = Request::Resume {
+            token: format!("{token}x"),
+            last_seq: 0,
+        };
+        serve_session(
+            &daemon.shared,
+            Cursor::new(format!("{}\n", resume.render())),
+            raw,
+        );
+        let answer = one_line_per_write(&raw_calls);
+        assert_eq!(answer.len(), 1);
+        assert_eq!(verb(&answer[0]), "error");
+
+        assert_eq!(client.shutdown().unwrap(), vec![Response::Bye]);
+        daemon.join();
+
+        let lines = one_line_per_write(&daemon_calls);
+        let verbs: Vec<&str> = lines
+            .iter()
+            .map(|line| match crate::protocol::split_seq(line) {
+                (Some(_), payload) => verb(payload),
+                (None, _) => panic!("hello-session line {line:?} lacks its seq= prefix"),
+            })
+            .collect();
+        assert_eq!(verbs, ["hello", "accepted", "result", "drained", "bye"]);
+        let requests = one_line_per_write(&client_calls);
+        let requests: Vec<&str> = requests.iter().map(|line| verb(line)).collect();
+        assert_eq!(requests, ["hello", "submit", "drain", "ack", "shutdown"]);
+    }
+
+    #[test]
+    fn tcp_streams_have_nagle_off_on_both_ends() {
+        let daemon = daemon();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client_side = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (daemon_side, _) = listener.accept().unwrap();
+        let client_probe = client_side.try_clone().unwrap();
+        let daemon_probe = daemon_side.try_clone().unwrap();
+        assert!(
+            !client_probe.nodelay().unwrap(),
+            "sockets start with Nagle on"
+        );
+
+        // `Client::connect` is `TcpStream::connect` + `over_tcp`; the
+        // daemon's accept loop hands every stream to `spawn_tcp_session`.
+        let mut client = Client::over_tcp(client_side).unwrap();
+        spawn_tcp_session(&daemon.shared, daemon_side);
+        assert!(client_probe.nodelay().unwrap());
+        assert!(daemon_probe.nodelay().unwrap());
+        // A probe is a second handle on its socket: hold it and the
+        // daemon's hang-up never reaches the client.
+        drop((client_probe, daemon_probe));
+
+        client.send(&Request::Status).unwrap();
+        assert!(matches!(
+            client.recv().unwrap(),
+            Some(Response::Status { .. })
+        ));
+        assert_eq!(client.shutdown().unwrap(), vec![Response::Bye]);
+        daemon.join();
     }
 }
