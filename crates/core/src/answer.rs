@@ -6,188 +6,241 @@
 //! pairwise different. Two answers are merged by comparing one representative
 //! of every class of the first with one representative of every class of the
 //! second — at most `k²` comparisons — and unioning the classes that match.
+//!
+//! [`Answers`] holds every answer of one merge level in flat buffers: the
+//! class representatives, answer after answer, and the answers' boundaries.
+//! Class membership lives in one union-find over the elements, so unioning
+//! two classes is one `union` of their representatives and no member list is
+//! ever copied. A merge writes the next level's representatives into spare
+//! buffers and swaps them in; a whole sort therefore allocates a fixed set of
+//! `O(n)` buffers plus their amortised growth.
 
-/// A solved sub-instance: a subset of elements partitioned into classes that
-/// are mutually known to be different.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Answer {
-    classes: Vec<Vec<usize>>,
+use ecs_graph::UnionFind;
+
+/// The answers of one merge level, stored flat.
+///
+/// Answer `i` has classes `0..reps(i).len()`; class `c` is represented by the
+/// element `reps(i)[c]`, the first element the class ever had. Classes keep
+/// their order through merges: a merged answer lists the left answer's
+/// classes, then the right answer's unmatched classes.
+pub struct Answers {
+    /// Class representatives of every answer, answer after answer.
+    reps: Vec<usize>,
+    /// Answer `i` owns `reps[bounds[i]..bounds[i + 1]]`.
+    bounds: Vec<usize>,
+    /// Class membership: two elements share a class iff they share a set.
+    members: UnionFind,
+    /// The next level under construction, swapped in when a merge is done.
+    next_reps: Vec<usize>,
+    next_bounds: Vec<usize>,
+    /// [`Answers::merge_groups`] scratch, indexed by set root: the group
+    /// that last emitted a class for that root (allocated on first use).
+    emitted_by: Vec<usize>,
+    /// Groups merged so far; the stamp written into `emitted_by`.
+    groups_merged: usize,
 }
 
-impl Answer {
-    /// An answer covering a single element.
-    pub fn singleton(element: usize) -> Self {
+impl Answers {
+    /// One singleton answer per element of `0..n`, in element order.
+    pub fn singletons(n: usize) -> Self {
         Self {
-            classes: vec![vec![element]],
+            reps: (0..n).collect(),
+            bounds: (0..=n).collect(),
+            members: UnionFind::new(n),
+            next_reps: Vec::with_capacity(n),
+            next_bounds: Vec::with_capacity(n / 2 + 2),
+            emitted_by: Vec::new(),
+            groups_merged: 0,
         }
     }
 
-    /// Builds an answer from explicit classes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any class is empty or an element appears twice.
-    pub fn from_classes(classes: Vec<Vec<usize>>) -> Self {
-        let mut seen = std::collections::HashSet::new();
-        for class in &classes {
-            assert!(!class.is_empty(), "answers may not contain empty classes");
-            for &e in class {
-                assert!(seen.insert(e), "element {e} appears in two classes");
+    /// Number of answers.
+    pub fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// The class representatives of answer `i`, in class order.
+    pub fn reps(&self, i: usize) -> &[usize] {
+        &self.reps[self.bounds[i]..self.bounds[i + 1]]
+    }
+
+    /// Appends the comparisons that merge answers `2p` and `2p + 1` for every
+    /// `p`: for each pair, every representative `a` of the left answer
+    /// against every representative `b` of the right one, `a`-major (the
+    /// `≤ k²` tests of the paper's merge step). An odd last answer has no
+    /// partner and contributes nothing.
+    pub fn pair_comparisons(&self, out: &mut Vec<(usize, usize)>) {
+        for p in 0..self.len() / 2 {
+            let (left, right) = (self.reps(2 * p), self.reps(2 * p + 1));
+            for &a in left {
+                out.extend(right.iter().map(|&b| (a, b)));
             }
         }
-        Self { classes }
     }
 
-    /// The classes of this answer.
-    pub fn classes(&self) -> &[Vec<usize>] {
-        &self.classes
-    }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// Total number of elements covered.
-    pub fn num_elements(&self) -> usize {
-        self.classes.iter().map(|c| c.len()).sum()
-    }
-
-    /// The representative (first element) of class `i`.
-    pub fn representative(&self, i: usize) -> usize {
-        self.classes[i][0]
-    }
-
-    /// All representatives, in class order.
-    pub fn representatives(&self) -> Vec<usize> {
-        self.classes.iter().map(|c| c[0]).collect()
-    }
-
-    /// The comparison pairs needed to merge `self` with `other`: one
-    /// representative of every class of `self` against one representative of
-    /// every class of `other` (`num_classes × other.num_classes` pairs, the
-    /// `≤ k²` tests of the paper's merge step).
-    pub fn merge_comparisons(&self, other: &Answer) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::with_capacity(self.num_classes() * other.num_classes());
-        for a in 0..self.num_classes() {
-            for b in 0..other.num_classes() {
-                pairs.push((self.representative(a), other.representative(b)));
-            }
-        }
-        pairs
-    }
-
-    /// Combines `self` and `other` given the answers to
-    /// [`Answer::merge_comparisons`] (in the same order).
+    /// Merges answers `2p` and `2p + 1` for every `p`, given the answers to
+    /// [`Answers::pair_comparisons`] in the same order. An odd last answer is
+    /// carried over unchanged.
     ///
-    /// Classes that matched are unioned; everything else is carried over. The
-    /// result is a valid answer for the union of the two element sets because
-    /// each class of `other` can match at most one class of `self` (classes
-    /// within an answer are pairwise different).
+    /// Each class of the right answer matches at most one class of the left
+    /// answer (classes within an answer are pairwise different); it joins
+    /// that class, or is appended as a new class if it matched none.
     ///
     /// # Panics
     ///
     /// Panics if `results` has the wrong length or claims that one class of
-    /// `other` matches two different classes of `self` (an inconsistent
+    /// the right answer matches two classes of the left one (an inconsistent
     /// oracle).
-    pub fn merge_with(&self, other: &Answer, results: &[bool]) -> Answer {
-        assert_eq!(
-            results.len(),
-            self.num_classes() * other.num_classes(),
-            "merge results length mismatch"
-        );
-        let mut merged: Vec<Vec<usize>> = self.classes.clone();
-        // For each class of `other`, find which class of `self` it matched.
-        for b in 0..other.num_classes() {
-            let mut target: Option<usize> = None;
-            for a in 0..self.num_classes() {
-                if results[a * other.num_classes() + b] {
-                    assert!(
-                        target.is_none(),
-                        "oracle inconsistency: class matched two distinct classes"
-                    );
-                    target = Some(a);
+    pub fn merge_pairs(&mut self, results: &[bool]) {
+        let expected: usize = (0..self.len() / 2)
+            .map(|p| self.reps(2 * p).len() * self.reps(2 * p + 1).len())
+            .sum();
+        assert_eq!(results.len(), expected, "merge results length mismatch");
+        self.start_next_level();
+        let mut offset = 0;
+        for p in 0..self.len() / 2 {
+            let (left, right) = (
+                self.bounds[2 * p]..self.bounds[2 * p + 1],
+                self.bounds[2 * p + 1]..self.bounds[2 * p + 2],
+            );
+            let (ka, kb) = (left.len(), right.len());
+            self.next_reps.extend_from_slice(&self.reps[left.clone()]);
+            for b in 0..kb {
+                let mut target: Option<usize> = None;
+                for a in 0..ka {
+                    if results[offset + a * kb + b] {
+                        assert!(
+                            target.is_none(),
+                            "oracle inconsistency: class matched two distinct classes"
+                        );
+                        target = Some(a);
+                    }
+                }
+                let rep_b = self.reps[right.start + b];
+                match target {
+                    Some(a) => {
+                        self.members.union(self.reps[left.start + a], rep_b);
+                    }
+                    None => self.next_reps.push(rep_b),
                 }
             }
-            match target {
-                Some(a) => merged[a].extend_from_slice(&other.classes[b]),
-                None => merged.push(other.classes[b].clone()),
-            }
+            offset += ka * kb;
+            self.next_bounds.push(self.next_reps.len());
         }
-        Answer { classes: merged }
+        if self.len() % 2 == 1 {
+            self.carry(self.len() - 1);
+        }
+        self.finish_next_level();
     }
 
-    /// Merges many answers at once given the full pairwise comparison results
-    /// between class representatives, provided as a closure
-    /// `same(answer_i, class_a, answer_j, class_b) -> bool` for `i < j`.
+    /// Appends the comparisons that merge consecutive groups of `group_size`
+    /// answers: within each group, for every answer pair `i < j`, every
+    /// representative of answer `i` against every representative of answer
+    /// `j`, in `(i, j, a, b)` lexicographic order (the `C(c, 2)·k²` tests of
+    /// Theorem 1's second phase). A final group of one answer contributes
+    /// nothing.
+    pub fn group_comparisons(&self, group_size: usize, out: &mut Vec<(usize, usize)>) {
+        for_each_group_comparison(&self.reps, &self.bounds, group_size, |a, b| {
+            out.push((a, b))
+        });
+    }
+
+    /// Merges consecutive groups of `group_size` answers, given the answers
+    /// to [`Answers::group_comparisons`] in the same order.
     ///
-    /// Used by the second phase of Theorem 1, where a group of `c` answers is
-    /// merged in a single round using `C(c, 2)·k²` comparisons.
-    pub fn merge_group<F>(group: &[Answer], same: F) -> Answer
-    where
-        F: Fn(usize, usize, usize, usize) -> bool,
-    {
-        if group.is_empty() {
-            return Answer {
-                classes: Vec::new(),
-            };
+    /// Every matched pair of classes is unioned. Each resulting class is
+    /// represented by the representative of its first member class in
+    /// `(answer, class)` order, and a merged group lists its classes by
+    /// ascending representative. A final group of one answer is carried over
+    /// unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group_size < 2` or `results` has the wrong length.
+    pub fn merge_groups(&mut self, group_size: usize, results: &[bool]) {
+        assert!(group_size >= 2, "groups must merge at least two answers");
+        let mut matched = results.iter();
+        let members = &mut self.members;
+        for_each_group_comparison(&self.reps, &self.bounds, group_size, |a, b| {
+            if *matched.next().expect("merge results length mismatch") {
+                members.union(a, b);
+            }
+        });
+        assert!(matched.next().is_none(), "merge results length mismatch");
+
+        if self.emitted_by.is_empty() {
+            self.emitted_by = vec![usize::MAX; self.members.len()];
         }
-        // Union-find over (answer index, class index) pairs, flattened.
-        let offsets: Vec<usize> = group
-            .iter()
-            .scan(0usize, |acc, a| {
-                let start = *acc;
-                *acc += a.num_classes();
-                Some(start)
-            })
-            .collect();
-        let total: usize = group.iter().map(|a| a.num_classes()).sum();
-        let mut uf = ecs_graph::UnionFind::new(total);
-        for i in 0..group.len() {
-            for j in (i + 1)..group.len() {
-                for a in 0..group[i].num_classes() {
-                    for b in 0..group[j].num_classes() {
-                        if same(i, a, j, b) {
-                            uf.union(offsets[i] + a, offsets[j] + b);
-                        }
+        self.start_next_level();
+        let answers = self.len();
+        for first in (0..answers).step_by(group_size) {
+            let last = (first + group_size).min(answers);
+            if last - first == 1 {
+                self.carry(first);
+                continue;
+            }
+            let stamp = self.groups_merged;
+            self.groups_merged += 1;
+            let start = self.next_reps.len();
+            for &rep in &self.reps[self.bounds[first]..self.bounds[last]] {
+                let root = self.members.find(rep);
+                if self.emitted_by[root] != stamp {
+                    self.emitted_by[root] = stamp;
+                    self.next_reps.push(rep);
+                }
+            }
+            self.next_reps[start..].sort_unstable();
+            self.next_bounds.push(self.next_reps.len());
+        }
+        self.finish_next_level();
+    }
+
+    /// Per-element labels of the classes (dense, numbered by each class's
+    /// smallest element).
+    pub fn labels(&mut self) -> Vec<usize> {
+        self.members.labels()
+    }
+
+    fn start_next_level(&mut self) {
+        self.next_reps.clear();
+        self.next_bounds.clear();
+        self.next_bounds.push(0);
+    }
+
+    /// Copies answer `i` unchanged into the next level.
+    fn carry(&mut self, i: usize) {
+        self.next_reps
+            .extend_from_slice(&self.reps[self.bounds[i]..self.bounds[i + 1]]);
+        self.next_bounds.push(self.next_reps.len());
+    }
+
+    fn finish_next_level(&mut self) {
+        std::mem::swap(&mut self.reps, &mut self.next_reps);
+        std::mem::swap(&mut self.bounds, &mut self.next_bounds);
+    }
+}
+
+/// Visits the comparisons of [`Answers::group_comparisons`] in order, for
+/// answers laid out as in [`Answers`].
+fn for_each_group_comparison(
+    reps: &[usize],
+    bounds: &[usize],
+    group_size: usize,
+    mut visit: impl FnMut(usize, usize),
+) {
+    let answers = bounds.len() - 1;
+    let classes = |i: usize| &reps[bounds[i]..bounds[i + 1]];
+    for first in (0..answers).step_by(group_size) {
+        let last = (first + group_size).min(answers);
+        for i in first..last {
+            for j in (i + 1)..last {
+                for &a in classes(i) {
+                    for &b in classes(j) {
+                        visit(a, b);
                     }
                 }
             }
         }
-        let mut classes_by_root: std::collections::HashMap<usize, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, answer) in group.iter().enumerate() {
-            for (c, class) in answer.classes.iter().enumerate() {
-                let root = uf.find(offsets[i] + c);
-                classes_by_root
-                    .entry(root)
-                    .or_default()
-                    .extend_from_slice(class);
-            }
-        }
-        let mut classes: Vec<Vec<usize>> = classes_by_root.into_values().collect();
-        classes.sort_by_key(|c| c[0]);
-        Answer { classes }
-    }
-
-    /// Converts a list of answers that jointly cover `0..n` into per-element
-    /// labels (class indices are arbitrary but distinct across answers).
-    pub fn to_labels(answers: &[Answer], n: usize) -> Vec<usize> {
-        let mut labels = vec![usize::MAX; n];
-        let mut next = 0usize;
-        for answer in answers {
-            for class in &answer.classes {
-                for &e in class {
-                    labels[e] = next;
-                }
-                next += 1;
-            }
-        }
-        assert!(
-            labels.iter().all(|&l| l != usize::MAX),
-            "answers do not cover every element"
-        );
-        labels
     }
 }
 
@@ -196,121 +249,137 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn singleton_answer() {
-        let a = Answer::singleton(7);
-        assert_eq!(a.num_classes(), 1);
-        assert_eq!(a.num_elements(), 1);
-        assert_eq!(a.representative(0), 7);
+    /// Builds a level from explicit answers (each a list of classes, each a
+    /// list of elements whose first element is the representative).
+    fn level(n: usize, answers: &[Vec<Vec<usize>>]) -> Answers {
+        let mut level = Answers::singletons(n);
+        level.start_next_level();
+        for answer in answers {
+            for class in answer {
+                level.next_reps.push(class[0]);
+                for &e in &class[1..] {
+                    level.members.union(class[0], e);
+                }
+            }
+            level.next_bounds.push(level.next_reps.len());
+        }
+        level.finish_next_level();
+        level
+    }
+
+    fn classes(level: &mut Answers) -> Vec<Vec<usize>> {
+        let labels = level.labels();
+        let mut classes = vec![Vec::new(); labels.iter().max().map_or(0, |&l| l + 1)];
+        for (e, &l) in labels.iter().enumerate() {
+            classes[l].push(e);
+        }
+        classes
     }
 
     #[test]
-    #[should_panic(expected = "two classes")]
-    fn duplicate_elements_rejected() {
-        let _ = Answer::from_classes(vec![vec![0, 1], vec![1]]);
+    fn singletons_are_one_class_each() {
+        let mut level = Answers::singletons(3);
+        assert_eq!(level.len(), 3);
+        assert_eq!(level.reps(1), &[1]);
+        assert_eq!(classes(&mut level), vec![vec![0], vec![1], vec![2]]);
+        assert_eq!(Answers::singletons(0).len(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "empty classes")]
-    fn empty_class_rejected() {
-        let _ = Answer::from_classes(vec![vec![0], vec![]]);
-    }
-
-    #[test]
-    fn merge_comparisons_is_cross_product_of_representatives() {
-        let a = Answer::from_classes(vec![vec![0, 1], vec![2]]);
-        let b = Answer::from_classes(vec![vec![3], vec![4, 5]]);
-        let pairs = a.merge_comparisons(&b);
+    fn pair_comparisons_are_cross_products_of_representatives() {
+        let level = level(6, &[vec![vec![0, 1], vec![2]], vec![vec![3], vec![4, 5]]]);
+        let mut pairs = Vec::new();
+        level.pair_comparisons(&mut pairs);
         assert_eq!(pairs, vec![(0, 3), (0, 4), (2, 3), (2, 4)]);
     }
 
     #[test]
-    fn merge_with_unions_matching_classes() {
+    fn merge_pairs_unions_matching_classes() {
         // Ground truth: {0,1,4,5} and {2,3}.
-        let a = Answer::from_classes(vec![vec![0, 1], vec![2]]);
-        let b = Answer::from_classes(vec![vec![3], vec![4, 5]]);
+        let mut level = level(6, &[vec![vec![0, 1], vec![2]], vec![vec![3], vec![4, 5]]]);
         // results for pairs (0,3),(0,4),(2,3),(2,4)
-        let results = vec![false, true, true, false];
-        let merged = a.merge_with(&b, &results);
-        assert_eq!(merged.num_classes(), 2);
-        assert_eq!(merged.num_elements(), 6);
-        let classes = merged.classes();
-        assert!(classes.contains(&vec![0, 1, 4, 5]));
-        assert!(classes.contains(&vec![2, 3]));
+        level.merge_pairs(&[false, true, true, false]);
+        assert_eq!(level.len(), 1);
+        assert_eq!(level.reps(0), &[0, 2]);
+        assert_eq!(classes(&mut level), vec![vec![0, 1, 4, 5], vec![2, 3]]);
     }
 
     #[test]
-    fn merge_with_all_different_concatenates() {
-        let a = Answer::from_classes(vec![vec![0]]);
-        let b = Answer::from_classes(vec![vec![1]]);
-        let merged = a.merge_with(&b, &[false]);
-        assert_eq!(merged.num_classes(), 2);
+    fn merge_pairs_appends_unmatched_classes_and_carries_the_odd_answer() {
+        let mut level = level(3, &[vec![vec![1]], vec![vec![0]], vec![vec![2]]]);
+        level.merge_pairs(&[false]);
+        assert_eq!(level.len(), 2);
+        assert_eq!(level.reps(0), &[1, 0]);
+        assert_eq!(level.reps(1), &[2]);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
-    fn merge_with_wrong_result_count_panics() {
-        let a = Answer::singleton(0);
-        let b = Answer::singleton(1);
-        let _ = a.merge_with(&b, &[true, false]);
+    fn merge_pairs_with_wrong_result_count_panics() {
+        let mut level = Answers::singletons(2);
+        level.merge_pairs(&[true, false]);
     }
 
     #[test]
     #[should_panic(expected = "inconsistency")]
-    fn merge_with_inconsistent_oracle_panics() {
-        let a = Answer::from_classes(vec![vec![0], vec![1]]);
-        let b = Answer::from_classes(vec![vec![2]]);
+    fn merge_pairs_with_inconsistent_oracle_panics() {
+        let mut level = level(3, &[vec![vec![0], vec![1]], vec![vec![2]]]);
         // Claims 2 equals both 0 and 1, which are known different.
-        let _ = a.merge_with(&b, &[true, true]);
+        level.merge_pairs(&[true, true]);
     }
 
     #[test]
-    fn merge_group_with_truth_closure() {
+    fn merge_groups_with_truth() {
         // Truth labels for elements 0..6.
         let truth = [0usize, 0, 1, 1, 2, 0];
-        let answers = vec![
-            Answer::from_classes(vec![vec![0, 1], vec![2]]),
-            Answer::from_classes(vec![vec![3], vec![4]]),
-            Answer::from_classes(vec![vec![5]]),
-        ];
-        let merged = Answer::merge_group(&answers, |i, a, j, b| {
-            let ra = answers[i].representative(a);
-            let rb = answers[j].representative(b);
-            truth[ra] == truth[rb]
-        });
-        assert_eq!(merged.num_elements(), 6);
-        assert_eq!(merged.num_classes(), 3);
-        let classes = merged.classes();
-        assert!(classes.contains(&vec![0, 1, 5]));
-        assert!(classes.contains(&vec![2, 3]));
-        assert!(classes.contains(&vec![4]));
+        let mut level = level(
+            6,
+            &[
+                vec![vec![0, 1], vec![2]],
+                vec![vec![3], vec![4]],
+                vec![vec![5]],
+            ],
+        );
+        let mut pairs = Vec::new();
+        level.group_comparisons(3, &mut pairs);
+        assert_eq!(
+            pairs,
+            vec![
+                (0, 3),
+                (0, 4),
+                (2, 3),
+                (2, 4),
+                (0, 5),
+                (2, 5),
+                (3, 5),
+                (4, 5)
+            ]
+        );
+        let results: Vec<bool> = pairs.iter().map(|&(a, b)| truth[a] == truth[b]).collect();
+        level.merge_groups(3, &results);
+        assert_eq!(level.len(), 1);
+        assert_eq!(level.reps(0), &[0, 2, 4]);
+        assert_eq!(
+            classes(&mut level),
+            vec![vec![0, 1, 5], vec![2, 3], vec![4]]
+        );
     }
 
     #[test]
-    fn merge_group_of_nothing_is_empty() {
-        let merged = Answer::merge_group(&[], |_, _, _, _| false);
-        assert_eq!(merged.num_classes(), 0);
-        assert_eq!(merged.num_elements(), 0);
+    fn merge_groups_sorts_merged_groups_and_carries_a_lone_answer() {
+        // Groups {answer 0, answer 1} and {answer 2}; nothing matches.
+        let mut level = level(4, &[vec![vec![3]], vec![vec![1]], vec![vec![2], vec![0]]]);
+        level.merge_groups(2, &[false]);
+        assert_eq!(level.len(), 2);
+        assert_eq!(level.reps(0), &[1, 3]);
+        assert_eq!(level.reps(1), &[2, 0]);
     }
 
     #[test]
-    fn to_labels_covers_everything() {
-        let answers = vec![
-            Answer::from_classes(vec![vec![0, 2], vec![4]]),
-            Answer::from_classes(vec![vec![1, 3]]),
-        ];
-        let labels = Answer::to_labels(&answers, 5);
-        assert_eq!(labels[0], labels[2]);
-        assert_eq!(labels[1], labels[3]);
-        assert_ne!(labels[0], labels[4]);
-        assert_ne!(labels[0], labels[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cover every element")]
-    fn to_labels_detects_missing_elements() {
-        let answers = vec![Answer::singleton(0)];
-        let _ = Answer::to_labels(&answers, 2);
+    #[should_panic(expected = "length mismatch")]
+    fn merge_groups_with_wrong_result_count_panics() {
+        let mut level = Answers::singletons(3);
+        level.merge_groups(3, &[true]);
     }
 
     proptest! {
@@ -329,20 +398,15 @@ mod tests {
                 for e in range {
                     by_label.entry(labels[e]).or_default().push(e);
                 }
-                Answer::from_classes(by_label.into_values().collect())
+                by_label.into_values().collect::<Vec<_>>()
             };
-            let a = build(0..split);
-            let b = build(split..n);
-            let pairs = a.merge_comparisons(&b);
+            let mut level = level(n, &[build(0..split), build(split..n)]);
+            let mut pairs = Vec::new();
+            level.pair_comparisons(&mut pairs);
             let results: Vec<bool> = pairs.iter().map(|&(x, y)| labels[x] == labels[y]).collect();
-            let merged = a.merge_with(&b, &results);
-            prop_assert_eq!(merged.num_elements(), n);
-            // Verify: elements share a merged class iff they share a label.
-            let got = ecs_model::Partition::from_groups(&{
-                let mut gs = merged.classes().to_vec();
-                gs.sort_by_key(|c| c[0]);
-                gs
-            });
+            level.merge_pairs(&results);
+            prop_assert_eq!(level.len(), 1);
+            let got = ecs_model::Partition::from_labels(&level.labels());
             let want = ecs_model::Partition::from_labels(&labels);
             prop_assert_eq!(got, want);
         }

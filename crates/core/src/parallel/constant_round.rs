@@ -100,19 +100,18 @@ impl ErConstantRound {
         let d = self.cycles_for(lambda, n);
         let mut rng =
             Xoshiro256StarStar::seed_from_u64(SplitMix64::new(self.seed).derive(attempt_index));
-        let h = HamiltonianUnion::random(n, d, &mut rng);
 
-        // Step 2: test every edge of H_d in ER rounds.
-        let rounds = h.er_rounds();
+        // Step 2: test every edge of H_d in ER rounds, streamed cycle by
+        // cycle (H_d itself is never held: at d ≈ n it would be O(n²)).
         let mut uf = UnionFind::new(n);
-        for round in &rounds {
+        HamiltonianUnion::random_er_rounds(n, d, &mut rng, |round| {
             let answers = session.execute_round(round);
             for (&(u, v), &same) in round.iter().zip(&answers) {
                 if same {
                     uf.union(u, v);
                 }
             }
-        }
+        });
 
         // Step 3: pivot on the large components, read through the packed
         // fragment view ([`Fragments`]): sizes are cached popcounts and the

@@ -6,19 +6,34 @@
 //! representative of each of the ≤ `k` classes on the other — a complete
 //! bipartite comparison pattern — which the exclusive-read discipline forces
 //! to be spread over at most `k` rounds (a representative can only shake one
-//! hand per round). The bipartite round-robin schedule of
-//! [`ecs_model::schedule::bipartite_rounds`] achieves exactly `max(k_a, k_b)`
+//! hand per round). The bipartite rotation of
+//! [`ecs_model::schedule::bipartite_round`] achieves exactly `max(k_a, k_b)`
 //! rounds, and merges of *different* answer pairs at the same tree level touch
 //! disjoint elements, so they share rounds. Total: `O(k log n)` rounds.
+//!
+//! Each global round is emitted straight from the rotation into one reused
+//! pair buffer, and each answer is written into its pair's `a·k_b + b` slot
+//! of one reused result buffer, the layout `Answers::merge_pairs` reads.
 
-use crate::answer::Answer;
+use crate::answer::Answers;
 use crate::run::{EcsAlgorithm, EcsRun};
-use ecs_model::schedule::bipartite_rounds;
+use ecs_model::schedule::bipartite_round;
 use ecs_model::{ComparisonSession, EquivalenceOracle, ExecutionBackend, Partition, ReadMode};
 
 /// The exclusive-read pairwise-merge algorithm (Theorem 2).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ErMergeSort;
+
+/// Buffers reused by every level of one sort.
+#[derive(Default)]
+struct LevelBuffers {
+    /// The pairs of the global round being assembled.
+    round: Vec<(usize, usize)>,
+    /// For each pair of `round`, its slot in `results`.
+    slots: Vec<usize>,
+    /// Every merge's outcomes, merge after merge, each `a·k_b + b`.
+    results: Vec<bool>,
+}
 
 impl ErMergeSort {
     /// Creates the algorithm.
@@ -31,71 +46,46 @@ impl ErMergeSort {
     /// `r` of every pair's schedule (element-disjoint, hence a legal ER
     /// round).
     fn merge_level<O: EquivalenceOracle>(
-        answers: Vec<Answer>,
+        answers: &mut Answers,
+        buffers: &mut LevelBuffers,
         session: &mut ComparisonSession<'_, O>,
-    ) -> Vec<Answer> {
-        if answers.len() < 2 {
-            return answers;
+    ) {
+        let merges = answers.len() / 2;
+        let sides = |p: usize| (answers.reps(2 * p), answers.reps(2 * p + 1));
+        let mut total = 0;
+        let mut max_rounds = 0;
+        for p in 0..merges {
+            let (left, right) = sides(p);
+            total += left.len() * right.len();
+            max_rounds = max_rounds.max(left.len().max(right.len()));
         }
-        // Build the per-pair bipartite schedules.
-        struct PairPlan {
-            rounds: Vec<Vec<(usize, usize)>>,
-            // (round, index within round) -> position of (rep_a, rep_b) result
-            // recorded as the flattened a * kb + b index for merge_with.
-        }
-        let mut plans: Vec<Option<PairPlan>> = Vec::new();
-        for chunk in answers.chunks(2) {
-            if chunk.len() == 2 {
-                let left = chunk[0].representatives();
-                let right = chunk[1].representatives();
-                plans.push(Some(PairPlan {
-                    rounds: bipartite_rounds(&left, &right),
-                }));
-            } else {
-                plans.push(None);
-            }
-        }
-        let max_rounds = plans
-            .iter()
-            .flatten()
-            .map(|p| p.rounds.len())
-            .max()
-            .unwrap_or(0);
-
-        // Execute the interleaved schedule and collect per-pair results keyed
-        // by (representative_a, representative_b).
-        let mut outcomes: std::collections::HashMap<(usize, usize), bool> =
-            std::collections::HashMap::new();
+        let LevelBuffers {
+            round,
+            slots,
+            results,
+        } = buffers;
+        results.clear();
+        results.resize(total, false);
         for r in 0..max_rounds {
-            let mut round: Vec<(usize, usize)> = Vec::new();
-            for plan in plans.iter().flatten() {
-                if let Some(pairs) = plan.rounds.get(r) {
-                    round.extend_from_slice(pairs);
+            round.clear();
+            slots.clear();
+            let mut offset = 0;
+            for p in 0..merges {
+                let (left, right) = sides(p);
+                if r < left.len().max(right.len()) {
+                    bipartite_round(left.len(), right.len(), r, |a, b| {
+                        round.push((left[a], right[b]));
+                        slots.push(offset + a * right.len() + b);
+                    });
                 }
+                offset += left.len() * right.len();
             }
-            let answers_for_round = session.execute_round(&round);
-            for (&pair, &same) in round.iter().zip(&answers_for_round) {
-                outcomes.insert(pair, same);
+            let same = session.execute_round(round);
+            for (&slot, same) in slots.iter().zip(same) {
+                results[slot] = same;
             }
         }
-
-        // Apply the merges.
-        let mut merged = Vec::with_capacity(answers.len().div_ceil(2));
-        for (chunk, plan) in answers.chunks(2).zip(&plans) {
-            if plan.is_none() || chunk.len() == 1 {
-                merged.push(chunk[0].clone());
-                continue;
-            }
-            let a = &chunk[0];
-            let b = &chunk[1];
-            let results: Vec<bool> = a
-                .merge_comparisons(b)
-                .into_iter()
-                .map(|pair| outcomes[&pair])
-                .collect();
-            merged.push(a.merge_with(b, &results));
-        }
-        merged
+        answers.merge_pairs(results);
     }
 }
 
@@ -118,12 +108,15 @@ impl EcsAlgorithm for ErMergeSort {
         if n == 0 {
             return EcsRun::new(Partition::from_labels::<u32>(&[]), session.into_metrics());
         }
-        let mut answers: Vec<Answer> = (0..n).map(Answer::singleton).collect();
+        let mut answers = Answers::singletons(n);
+        let mut buffers = LevelBuffers::default();
         while answers.len() > 1 {
-            answers = Self::merge_level(answers, &mut session);
+            Self::merge_level(&mut answers, &mut buffers, &mut session);
         }
-        let labels = Answer::to_labels(&answers, n);
-        EcsRun::new(Partition::from_labels(&labels), session.into_metrics())
+        EcsRun::new(
+            Partition::from_labels(&answers.labels()),
+            session.into_metrics(),
+        )
     }
 }
 

@@ -17,7 +17,8 @@
 use crate::run::{EcsAlgorithm, EcsRun};
 use ecs_graph::UnionFind;
 use ecs_model::{ComparisonSession, EquivalenceOracle, ExecutionBackend, Partition, ReadMode};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The round-robin sequential equivalence class sorter.
 #[derive(Debug, Clone, Copy, Default)]
@@ -30,11 +31,41 @@ impl RoundRobin {
     }
 }
 
+/// A multiplicative hash for `u32` group ids (the FxHash step): one rotate,
+/// xor and multiply instead of SipHash's rounds. The ids are element
+/// indices chosen by the union-find, not by an attacker.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u32(u32::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(id)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+/// A set of group roots (element ids fit in `u32`: `UnionFind` caps `n`).
+type RootSet = HashSet<u32, BuildHasherDefault<IdHasher>>;
+
 /// Group-level knowledge: which group roots are known to be different.
+///
+/// `diff` is indexed by group root: `diff[r]` holds the roots of the groups
+/// known to differ from group `r` (empty for non-roots), so a
+/// "known different?" probe is one vector index plus one integer-hashed set
+/// probe.
 struct Knowledge {
     uf: UnionFind,
     /// For each group root, the set of other group roots known to differ.
-    diff: HashMap<usize, HashSet<usize>>,
+    diff: Vec<RootSet>,
     /// Number of unordered known-different group pairs.
     known_pairs: usize,
 }
@@ -43,7 +74,7 @@ impl Knowledge {
     fn new(n: usize) -> Self {
         Self {
             uf: UnionFind::new(n),
-            diff: HashMap::new(),
+            diff: (0..n).map(|_| RootSet::default()).collect(),
             known_pairs: 0,
         }
     }
@@ -62,22 +93,16 @@ impl Knowledge {
         self.known_pairs == g * (g - 1) / 2
     }
 
-    fn knows(&mut self, a: usize, b: usize) -> bool {
-        let ra = self.root(a);
-        let rb = self.root(b);
-        ra == rb
-            || self
-                .diff
-                .get(&ra)
-                .map(|set| set.contains(&rb))
-                .unwrap_or(false)
+    /// The relationship between `y` and the group whose root is `rx` is known.
+    fn knows(&mut self, rx: usize, y: usize) -> bool {
+        let ry = self.root(y);
+        ry == rx || self.diff[rx].contains(&(ry as u32))
     }
 
     /// The group of `x` knows its relationship to every other current group.
     fn fully_informed(&mut self, x: usize) -> bool {
         let r = self.root(x);
-        let known = self.diff.get(&r).map(|s| s.len()).unwrap_or(0);
-        known == self.groups() - 1
+        self.diff[r].len() == self.groups() - 1
     }
 
     /// Records a "different" answer between the groups of `a` and `b`.
@@ -85,8 +110,8 @@ impl Knowledge {
         let ra = self.root(a);
         let rb = self.root(b);
         debug_assert_ne!(ra, rb, "consistent oracles never separate equal elements");
-        if self.diff.entry(ra).or_default().insert(rb) {
-            self.diff.entry(rb).or_default().insert(ra);
+        if self.diff[ra].insert(rb as u32) {
+            self.diff[rb].insert(ra as u32);
             self.known_pairs += 1;
         }
     }
@@ -100,25 +125,23 @@ impl Knowledge {
             return;
         }
         debug_assert!(
-            !self.diff.get(&ra).map(|s| s.contains(&rb)).unwrap_or(false),
+            !self.diff[ra].contains(&(rb as u32)),
             "oracle inconsistency: groups known different answered equal"
         );
         self.uf.union(ra, rb);
         let new_root = self.uf.find(ra);
         let old_root = if new_root == ra { rb } else { ra };
-        let old_set = self.diff.remove(&old_root).unwrap_or_default();
-        for z in old_set {
+        let old_set = std::mem::take(&mut self.diff[old_root]);
+        for &z in &old_set {
             // Repoint z's knowledge from the vanished root to the surviving one.
-            if let Some(set) = self.diff.get_mut(&z) {
-                set.remove(&old_root);
-                if !set.insert(new_root) {
-                    // z already knew the surviving root: two known pairs collapse.
-                    self.known_pairs -= 1;
-                }
+            let set = &mut self.diff[z as usize];
+            set.remove(&(old_root as u32));
+            if !set.insert(new_root as u32) {
+                // z already knew the surviving root: two known pairs collapse.
+                self.known_pairs -= 1;
             }
-            let new_set = self.diff.entry(new_root).or_default();
-            new_set.insert(z);
         }
+        self.diff[new_root].extend(old_set);
     }
 }
 
@@ -162,7 +185,9 @@ impl EcsAlgorithm for RoundRobin {
                     continue;
                 }
                 // Advance the cursor to the next element with an unknown
-                // relationship and test it.
+                // relationship and test it. Nothing is recorded while the
+                // cursor skips, so x's root stays fixed.
+                let rx = knowledge.root(x);
                 loop {
                     if cursor[x] >= n {
                         active[x] = false;
@@ -170,7 +195,7 @@ impl EcsAlgorithm for RoundRobin {
                     }
                     let y = (x + cursor[x]) % n;
                     cursor[x] += 1;
-                    if knowledge.knows(x, y) {
+                    if knowledge.knows(rx, y) {
                         continue;
                     }
                     progressed = true;
@@ -201,6 +226,7 @@ mod tests {
     use ecs_model::{Instance, InstanceOracle};
     use ecs_rng::{EcsRng, SeedableEcsRng, Xoshiro256StarStar};
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn rng(seed: u64) -> Xoshiro256StarStar {
         Xoshiro256StarStar::seed_from_u64(seed)

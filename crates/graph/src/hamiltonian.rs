@@ -33,12 +33,32 @@ impl HamiltonianUnion {
     pub fn random<R: EcsRng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Self {
         let cycles = (0..d)
             .map(|_| {
-                let mut perm: Vec<u32> = (0..n as u32).collect();
-                rng.shuffle(&mut perm);
+                let mut perm = Vec::with_capacity(n);
+                random_cycle(n, rng, &mut perm);
                 perm
             })
             .collect();
         Self { n, cycles }
+    }
+
+    /// Streams the exclusive-read rounds of a fresh random `H_d` without
+    /// building it: draws the `d` cycles from `rng` exactly as
+    /// [`HamiltonianUnion::random`] does and hands `visit` the rounds that
+    /// [`HamiltonianUnion::er_rounds`] would list, in the same order. Only
+    /// one cycle and one round are held at a time, `O(n)` memory instead of
+    /// `O(dn)`.
+    pub fn random_er_rounds<R: EcsRng + ?Sized>(
+        n: usize,
+        d: usize,
+        rng: &mut R,
+        mut visit: impl FnMut(&[(usize, usize)]),
+    ) {
+        let mut cycle = Vec::with_capacity(n);
+        let mut round = Vec::with_capacity(n / 2 + 1);
+        for _ in 0..d {
+            random_cycle(n, rng, &mut cycle);
+            cycle_er_rounds(&cycle, &mut round, &mut visit);
+        }
     }
 
     /// Builds `H_d` from explicit permutations (used by tests).
@@ -123,40 +143,10 @@ impl HamiltonianUnion {
     /// which this decomposition matches for even `n` and exceeds by at most
     /// `d` rounds for odd `n` — still `O(d)`.
     pub fn er_rounds(&self) -> Vec<Vec<(usize, usize)>> {
-        let n = self.n;
-        if n < 2 {
-            return Vec::new();
-        }
         let mut rounds = Vec::new();
+        let mut round = Vec::with_capacity(self.n / 2 + 1);
         for cycle in &self.cycles {
-            if n == 2 {
-                rounds.push(vec![(cycle[0] as usize, cycle[1] as usize)]);
-                continue;
-            }
-            let edge = |i: usize| {
-                let u = cycle[i] as usize;
-                let v = cycle[(i + 1) % n] as usize;
-                (u, v)
-            };
-            let mut even_round = Vec::with_capacity(n / 2);
-            let mut odd_round = Vec::with_capacity(n / 2);
-            let mut leftover = Vec::new();
-            for i in 0..n {
-                if n % 2 == 1 && i == n - 1 {
-                    // The closing edge of an odd cycle conflicts with both
-                    // parities; give it its own round.
-                    leftover.push(edge(i));
-                } else if i % 2 == 0 {
-                    even_round.push(edge(i));
-                } else {
-                    odd_round.push(edge(i));
-                }
-            }
-            rounds.push(even_round);
-            rounds.push(odd_round);
-            if !leftover.is_empty() {
-                rounds.push(leftover);
-            }
+            cycle_er_rounds(cycle, &mut round, &mut |pairs| rounds.push(pairs.to_vec()));
         }
         rounds
     }
@@ -216,6 +206,47 @@ impl HamiltonianUnion {
     /// approaching 1 exponentially fast in `n`.
     pub fn failure_exponent(lambda: f64, d: usize) -> f64 {
         (1.0 + lambda) * LN_2 + d as f64 * Self::exponent_exact(lambda, 0.25)
+    }
+}
+
+/// Fills `cycle` with a uniformly random permutation of `0..n`: the visiting
+/// order of one Hamiltonian cycle.
+fn random_cycle<R: EcsRng + ?Sized>(n: usize, rng: &mut R, cycle: &mut Vec<u32>) {
+    cycle.clear();
+    cycle.extend(0..n as u32);
+    rng.shuffle(cycle);
+}
+
+/// Hands `visit` the exclusive-read rounds of one cycle, each assembled in
+/// `round`: the even-indexed successor edges, then the odd-indexed ones,
+/// then (odd `n ≥ 3` only) the closing edge, which conflicts with both
+/// parities. A 2-vertex cycle is the single edge `(cycle[0], cycle[1])`.
+fn cycle_er_rounds(
+    cycle: &[u32],
+    round: &mut Vec<(usize, usize)>,
+    visit: &mut impl FnMut(&[(usize, usize)]),
+) {
+    let n = cycle.len();
+    if n < 2 {
+        return;
+    }
+    let edge = |i: usize| (cycle[i] as usize, cycle[(i + 1) % n] as usize);
+    if n == 2 {
+        round.clear();
+        round.push(edge(0));
+        visit(round);
+        return;
+    }
+    let paired = n - n % 2;
+    for parity in 0..2 {
+        round.clear();
+        round.extend((parity..paired).step_by(2).map(edge));
+        visit(round);
+    }
+    if n % 2 == 1 {
+        round.clear();
+        round.push(edge(n - 1));
+        visit(round);
     }
 }
 
@@ -331,6 +362,18 @@ mod tests {
         let h2 = HamiltonianUnion::random(2, 2, &mut rng(3));
         assert_eq!(h2.comparison_pairs(), vec![(0, 1)]);
         assert_eq!(h2.er_rounds().len(), 2);
+    }
+
+    #[test]
+    fn streamed_rounds_match_the_built_union() {
+        for &(n, d) in &[(0usize, 2usize), (1, 2), (2, 3), (3, 2), (10, 4), (33, 3)] {
+            let built = HamiltonianUnion::random(n, d, &mut rng(n as u64)).er_rounds();
+            let mut streamed = Vec::new();
+            HamiltonianUnion::random_er_rounds(n, d, &mut rng(n as u64), |round| {
+                streamed.push(round.to_vec())
+            });
+            assert_eq!(streamed, built, "n={n} d={d}");
+        }
     }
 
     #[test]

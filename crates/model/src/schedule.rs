@@ -39,9 +39,30 @@ pub fn schedule_er(pairs: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
     rounds
 }
 
+/// Round `r` of the bipartite rotation between a left side of `left` elements
+/// and a right side of `right` elements: the smaller side is held fixed and
+/// the larger one rotates, so `small[i]` meets `large[(i + r) mod |large|]`.
+///
+/// Calls `pair(i, j)` with `i` a left index and `j` a right index, in order
+/// of the smaller side's index. Rounds `0..max(left, right)` together visit
+/// every `(i, j)` exactly once, and each round is a matching.
+/// [`bipartite_rounds`] materialises the whole schedule; merge loops that
+/// interleave many schedules call this directly, one round at a time.
+pub fn bipartite_round(left: usize, right: usize, r: usize, mut pair: impl FnMut(usize, usize)) {
+    if left <= right {
+        for i in 0..left {
+            pair(i, (i + r) % right);
+        }
+    } else {
+        for j in 0..right {
+            pair((j + r) % left, j);
+        }
+    }
+}
+
 /// Schedules the complete bipartite comparison pattern between `left` and
-/// `right` as exclusive-read rounds using the round-robin rotation: in round
-/// `r`, `left[i]` is compared with `right[(i + r) mod |right|]`.
+/// `right` as exclusive-read rounds using the rotation of
+/// [`bipartite_round`].
 ///
 /// This is the schedule behind Theorem 2's merge step: comparing one
 /// representative of each of `≤ k` classes on one side with each of `≤ k`
@@ -56,23 +77,15 @@ pub fn bipartite_rounds(left: &[usize], right: &[usize]) -> Vec<Vec<(usize, usiz
         left.iter().all(|x| !right.contains(x)),
         "bipartite schedule requires disjoint sides"
     );
-    // Rotate the larger side against the smaller so every pair appears once.
-    let (small, large, swapped) = if left.len() <= right.len() {
-        (left, right, false)
-    } else {
-        (right, left, true)
-    };
-    let rounds_needed = large.len();
-    let mut rounds = Vec::with_capacity(rounds_needed);
-    for r in 0..rounds_needed {
-        let mut round = Vec::with_capacity(small.len());
-        for (i, &s) in small.iter().enumerate() {
-            let l = large[(i + r) % large.len()];
-            round.push(if swapped { (l, s) } else { (s, l) });
-        }
-        rounds.push(round);
-    }
-    rounds
+    (0..left.len().max(right.len()))
+        .map(|r| {
+            let mut round = Vec::with_capacity(left.len().min(right.len()));
+            bipartite_round(left.len(), right.len(), r, |i, j| {
+                round.push((left[i], right[j]))
+            });
+            round
+        })
+        .collect()
 }
 
 /// The maximum multiplicity of any element in the pair list (the maximum

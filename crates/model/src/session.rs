@@ -49,6 +49,11 @@ pub struct ComparisonSession<'a, O: EquivalenceOracle> {
     processors: usize,
     metrics: Metrics,
     backend: ExecutionBackend,
+    /// Exclusive-read check: element `e` already appears in the round being
+    /// validated iff `seen[e] == epoch`. Grown on first use; bumping `epoch`
+    /// clears it in O(1) per round.
+    seen: Vec<u32>,
+    epoch: u32,
 }
 
 impl<'a, O: EquivalenceOracle> ComparisonSession<'a, O> {
@@ -89,6 +94,8 @@ impl<'a, O: EquivalenceOracle> ComparisonSession<'a, O> {
             processors,
             metrics: Metrics::new(),
             backend,
+            seen: Vec::new(),
+            epoch: 0,
         }
     }
 
@@ -182,19 +189,27 @@ impl<'a, O: EquivalenceOracle> ComparisonSession<'a, O> {
         rounds.iter().map(|r| self.execute_round(r)).collect()
     }
 
-    fn validate_matching(&self, pairs: &[(usize, usize)]) {
-        let mut seen = std::collections::HashSet::with_capacity(pairs.len() * 2);
+    fn validate_matching(&mut self, pairs: &[(usize, usize)]) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
         for &(a, b) in pairs {
             assert_ne!(a, b, "ER round contains a self-comparison ({a}, {a})");
-            assert!(
-                seen.insert(a),
-                "ER round reuses element {a}: not a matching"
-            );
-            assert!(
-                seen.insert(b),
-                "ER round reuses element {b}: not a matching"
-            );
+            assert!(self.stamp(a), "ER round reuses element {a}: not a matching");
+            assert!(self.stamp(b), "ER round reuses element {b}: not a matching");
         }
+    }
+
+    /// Marks `e` as used in the current round; `false` if it already was.
+    fn stamp(&mut self, e: usize) -> bool {
+        if e >= self.seen.len() {
+            self.seen.resize((e + 1).max(self.oracle.n()), 0);
+        }
+        let fresh = self.seen[e] != self.epoch;
+        self.seen[e] = self.epoch;
+        fresh
     }
 
     fn evaluate(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
@@ -261,6 +276,27 @@ mod tests {
         let oracle = LabelOracle::new(vec![0, 0]);
         let mut s = ComparisonSession::new(&oracle, ReadMode::Exclusive);
         let _ = s.execute_round(&[(1, 1)]);
+    }
+
+    #[test]
+    fn er_rounds_may_reuse_elements_across_rounds_and_epoch_wraps() {
+        let oracle = LabelOracle::new(vec![0, 0, 1, 1]);
+        let mut s = ComparisonSession::new(&oracle, ReadMode::Exclusive);
+        s.epoch = u32::MAX - 1;
+        for _ in 0..4 {
+            assert_eq!(s.execute_round(&[(0, 1), (2, 3)]), vec![true, true]);
+            assert_eq!(s.execute_round(&[(0, 2), (1, 3)]), vec![false, false]);
+        }
+        assert_eq!(s.metrics().rounds(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "ER round reuses element 1: not a matching")]
+    fn er_round_rejects_reuse_right_after_the_epoch_wraps() {
+        let oracle = LabelOracle::new(vec![0, 0, 1, 1]);
+        let mut s = ComparisonSession::new(&oracle, ReadMode::Exclusive);
+        s.epoch = u32::MAX;
+        let _ = s.execute_round(&[(0, 1), (1, 2)]);
     }
 
     #[test]
