@@ -63,6 +63,15 @@ pub trait AdversaryState {
     /// Charges one served query (cost counter and optional transcript).
     fn record(&mut self, a: usize, b: usize, answer: bool);
 
+    /// Whether `a` and `b` sit in one contracted vertex (share a union-find
+    /// root) — a pure read. Once [`AdversaryState::answer`] has returned for
+    /// a pair, this equals that answer at every later time: a `true` answer
+    /// contracted the endpoints, a `false` one put a known-unequal edge
+    /// between their roots, and two roots joined by such an edge are never
+    /// contracted. The plan cache therefore stores no answers, only which
+    /// pairs are settled.
+    fn same_vertex(&self, a: usize, b: usize) -> bool;
+
     /// The monotone commit counter: bumped once per
     /// [`AdversaryState::commit_round`].
     fn commit_epoch(&self) -> u64;
@@ -579,6 +588,10 @@ impl AdversaryState for AdversaryCore {
 
     fn record(&mut self, a: usize, b: usize, answer: bool) {
         AdversaryCore::record(self, a, b, answer);
+    }
+
+    fn same_vertex(&self, a: usize, b: usize) -> bool {
+        self.uf.find_immutable(a) == self.uf.find_immutable(b)
     }
 
     fn commit_epoch(&self) -> u64 {

@@ -330,6 +330,10 @@ impl AdversaryState for LegacyCore {
         self.comparisons += 1;
     }
 
+    fn same_vertex(&self, a: usize, b: usize) -> bool {
+        self.uf.find_immutable(a) == self.uf.find_immutable(b)
+    }
+
     fn commit_epoch(&self) -> u64 {
         self.epochs.commit_epoch()
     }

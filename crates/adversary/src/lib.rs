@@ -40,7 +40,7 @@
 //! The adversary state lives on the **packed bitset substrate** of
 //! [`ecs_graph::bitset`] — the known-unequal relation is one bit per
 //! unordered pair, marks and class filters are bit rows, and round plans
-//! are packed triangles. The pre-bitset pointer implementation is retained
+//! are a packed cache matrix plus a round triangle. The pre-bitset pointer implementation is retained
 //! verbatim in [`legacy`]; the parity suite in `tests/substrate_parity.rs`
 //! pins the two substrates bit-for-bit against each other.
 

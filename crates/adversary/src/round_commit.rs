@@ -50,32 +50,38 @@
 //!
 //! ## Plan storage
 //!
-//! For universes up to [`PACKED_PLAN_MAX_N`], the cache is two packed
-//! upper-triangular [`PairBitset`]s (entry-present and its answer) plus a
-//! third marking the open round's membership, so serving a query is a few
-//! word probes and no hashing. Per-pair epoch tags would cost 16 bytes per
-//! pair, so the packed cache invalidates eagerly instead: the commit clears
-//! the cached rows of exactly the elements the round dirtied. Universes
-//! above the threshold and explicitly-requested baselines
-//! ([`RoundCommit::with_spill_plan`]) keep the cache in a hash map whose
-//! entries carry literal epoch tags and go stale by themselves; both the map
-//! and the round-membership set recycle their allocations across rounds.
+//! Neither storage mode keeps answers. Every cached pair is settled, and a
+//! settled pair's answer is whether its endpoints share a contracted vertex
+//! ([`AdversaryState::same_vertex`]), a pure read of the state.
+//!
+//! For universes up to [`PACKED_PLAN_MAX_N`], the cache is a symmetric
+//! [`PairMatrix`] of valid entries, one contiguous word row per element,
+//! plus a packed upper-triangular [`PairBitset`] marking the open round's
+//! membership, so serving a query is a few word probes and no hashing.
+//! Per-pair epoch tags would cost 16 bytes per pair, so the packed cache
+//! invalidates eagerly instead: the commit clears the cached rows of exactly
+//! the elements the round dirtied, `n/64` words each
+//! ([`PairMatrix::clear_row`]). Universes above the threshold and
+//! explicitly-requested baselines ([`RoundCommit::with_spill_plan`]) keep
+//! the cache in a hash map whose entries carry literal epoch tags and go
+//! stale by themselves; both the map and the round-membership set recycle
+//! their allocations across rounds.
 
 use crate::core_state::{AdversaryCore, AdversaryState};
-use ecs_graph::{BitRow, PairBitset};
+use ecs_graph::{BitRow, PairBitset, PairMatrix};
 use ecs_model::PlanStats;
 use std::collections::{HashMap, HashSet};
 
-/// Largest universe that plans rounds in the packed pair triangle; above
-/// this (8 MiB of plan bits per `PairBitset` at 8192 elements costs ~4 MiB,
-/// quadratic beyond) the protocol spills to the hash-map plan.
+/// Largest universe that plans rounds in packed bits. At 8192 elements the
+/// packed plan holds 12 MiB (an 8 MiB cache matrix plus a 4 MiB round
+/// triangle), growing quadratically beyond, so larger universes spill to the
+/// hash-map plan.
 pub const PACKED_PLAN_MAX_N: usize = 8192;
 
-/// A spilled cache entry: the planned answer plus the endpoint epochs it was
-/// computed under. The entry is valid while both epochs are unchanged.
+/// A spilled cache entry: the endpoint epochs its pair was settled under.
+/// The entry is valid while both epochs are unchanged.
 #[derive(Debug, Clone, Copy)]
 struct SpillEntry {
-    answer: bool,
     epoch_a: u64,
     epoch_b: u64,
 }
@@ -89,11 +95,9 @@ enum PlanCache {
     /// first round, when the universe size is known to matter.
     Undecided,
     Packed {
-        /// Bit (a, b) set iff the pair holds a cached answer valid against
-        /// the committed state (epoch-invalidated eagerly at each commit).
-        cached: PairBitset,
-        /// The cached answer for pair (a, b); meaningful only under `cached`.
-        answers: PairBitset,
+        /// Bits (a, b) and (b, a) set iff the pair holds an entry valid
+        /// against the committed state (invalidated eagerly at each commit).
+        cached: PairMatrix,
         /// Bit (a, b) set iff the pair is part of the open round.
         in_round: PairBitset,
         /// Word indices of `in_round` written this round — closing the round
@@ -103,8 +107,6 @@ enum PlanCache {
         /// `true`); kept off the triangle, which stores strict pairs only.
         diagonal: BitRow,
         diagonal_used: bool,
-        /// Scratch for the commit-time invalidation row scans.
-        row_scratch: Vec<usize>,
     },
     Spill {
         /// Epoch-tagged cache; persists (entries and allocation) across
@@ -216,8 +218,8 @@ impl<S: AdversaryState> RoundCommit<S> {
         self.rounds_committed
     }
 
-    /// Whether this protocol plans rounds in the packed pair triangle (after
-    /// the lazy decision at the first round; `false` while still undecided).
+    /// Whether this protocol plans rounds in packed bits (after the lazy
+    /// decision at the first round; `false` while still undecided).
     pub fn plan_is_packed(&self) -> bool {
         matches!(self.cache, PlanCache::Packed { .. })
     }
@@ -337,26 +339,10 @@ impl<S: AdversaryState> RoundCommit<S> {
         // Commit the epoch advance. The packed cache invalidates eagerly —
         // the dirty elements' cached rows are cleared word-by-word — while
         // the spilled cache's epoch tags go stale by themselves.
-        let Self {
-            core, cache, stats, ..
-        } = self;
-        let dirty = core.commit_round();
-        if !dirty.is_empty() {
-            if let PlanCache::Packed {
-                cached,
-                row_scratch,
-                ..
-            } = cache
-            {
-                for &e in dirty {
-                    row_scratch.clear();
-                    cached.for_each_in_row(e, |z| row_scratch.push(z));
-                    for &z in row_scratch.iter() {
-                        if cached.clear(e, z) {
-                            stats.invalidated += 1;
-                        }
-                    }
-                }
+        let dirty = self.core.commit_round();
+        if let PlanCache::Packed { cached, .. } = &mut self.cache {
+            for &e in dirty {
+                self.stats.invalidated += cached.clear_row(e) as u64;
             }
         }
         self.round_open = false;
@@ -374,13 +360,11 @@ impl<S: AdversaryState> RoundCommit<S> {
                 }
             } else {
                 PlanCache::Packed {
-                    cached: PairBitset::new(n),
-                    answers: PairBitset::new(n),
+                    cached: PairMatrix::new(n),
                     in_round: PairBitset::new(n),
                     touched: Vec::new(),
                     diagonal: BitRow::new(n),
                     diagonal_used: false,
-                    row_scratch: Vec::new(),
                 }
             };
         }
@@ -413,7 +397,7 @@ impl<S: AdversaryState> RoundCommit<S> {
                     self.step();
                 }
             }
-            Self::entry_answer(&self.cache, a, b)
+            self.core.same_vertex(a, b)
         };
         self.core.record(a, b, answer);
         answer
@@ -472,37 +456,21 @@ impl<S: AdversaryState> RoundCommit<S> {
         }
     }
 
-    /// The cached answer for `(a, b)`; only meaningful after
-    /// [`RoundCommit::entry_valid`] (or a fresh store) holds.
-    fn entry_answer(cache: &PlanCache, a: usize, b: usize) -> bool {
-        match cache {
-            PlanCache::Undecided => unreachable!("open round always has a plan"),
-            PlanCache::Packed { answers, .. } => answers.test(a, b),
-            PlanCache::Spill { cache, .. } => cache[&normalize(a, b)].answer,
-        }
-    }
-
-    /// Stores a freshly replayed answer, tagged with the endpoints' current
-    /// epochs. Returns whether a previous (stale or bypassed) entry was
-    /// overwritten.
+    /// Marks a freshly replayed pair as settled, tagged with the endpoints'
+    /// current epochs. Returns whether a previous (stale or bypassed) entry
+    /// was overwritten.
     fn store_entry(cache: &mut PlanCache, core: &S, a: usize, b: usize, answer: bool) -> bool {
+        // The answer is served later as `same_vertex`; the two must agree.
+        debug_assert_eq!(answer, core.same_vertex(a, b), "pair ({a}, {b})");
         match cache {
             PlanCache::Undecided => unreachable!("open round always has a plan"),
-            PlanCache::Packed {
-                cached, answers, ..
-            } => {
+            PlanCache::Packed { cached, .. } => {
                 cached.set(a, b);
-                if answer {
-                    answers.set(a, b);
-                } else {
-                    answers.clear(a, b);
-                }
                 false
             }
             PlanCache::Spill { cache, .. } => {
                 let (na, nb) = normalize(a, b);
                 let entry = SpillEntry {
-                    answer,
                     epoch_a: core.epoch_of(na),
                     epoch_b: core.epoch_of(nb),
                 };

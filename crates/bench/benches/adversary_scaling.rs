@@ -14,7 +14,7 @@ use ecs_adversary::{
 };
 use ecs_bench::runners::{theorem5_table, AdversaryAlgorithm};
 use ecs_bench::smoke;
-use ecs_core::{EcsAlgorithm, ErMergeSort};
+use ecs_core::{EcsAlgorithm, ErMergeSort, RepresentativeScan};
 use ecs_model::{ExecutionBackend, ThroughputPool};
 use std::hint::black_box;
 
@@ -224,11 +224,53 @@ fn incremental_planning(c: &mut Criterion) {
     group.finish();
 }
 
+/// Commit-time invalidation of the packed plan cache: representative-scan
+/// runs every comparison as its own one-pair round, so each commit clears
+/// the cache rows of the elements it dirtied. Gated, before timing, on the
+/// same forced count, swaps, marks, and partition as a full-replan twin,
+/// which never reads the cache; the smoke size still spans several words
+/// per matrix row.
+fn plan_invalidation(c: &mut Criterion) {
+    let (n, f) = if smoke() { (256, 16) } else { (4096, 64) };
+
+    let run = |full_replan: bool| {
+        let adversary = EqualSizeAdversary::new(n, f);
+        let adversary = if full_replan {
+            adversary.with_full_replan()
+        } else {
+            adversary
+        };
+        let run = RepresentativeScan::new().sort(&adversary);
+        assert_eq!(run.partition, adversary.partition());
+        (
+            adversary.comparisons(),
+            adversary.swaps(),
+            adversary.marked_elements(),
+            run.partition,
+        )
+    };
+    assert_eq!(run(false), run(true), "plan modes diverged at n={n}, f={f}");
+
+    let mut group = c.benchmark_group("plan_invalidation");
+    group.sample_size(if smoke() { 3 } else { 10 });
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_secs(if smoke() { 1 } else { 3 }));
+    group.bench_with_input(
+        BenchmarkId::new("representative_scan_vs_equal_size", n),
+        &(),
+        |b, _| {
+            b.iter(|| black_box(run(false).0));
+        },
+    );
+    group.finish();
+}
+
 criterion_group!(
     benches,
     round_protocol,
     substrates,
     grid_throughput,
-    incremental_planning
+    incremental_planning,
+    plan_invalidation
 );
 criterion_main!(benches);

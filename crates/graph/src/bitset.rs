@@ -12,6 +12,12 @@
 //!   closed-form [`coord_to_idx`]. Row `i` owns the `n − 1 − i` contiguous
 //!   bits for its greater partners `j > i`; its smaller partners `k < i` live
 //!   strided through earlier rows at `idx(k, i)`.
+//! * [`PairMatrix`] stores a **symmetric** relation as a full `n × n` bit
+//!   matrix, one padded row of `⌈n/64⌉` words per element, every pair held
+//!   twice (`(a, b)` and its mirror `(b, a)`). It spends twice the
+//!   triangle's bits so that a whole row — all partners of one element — is
+//!   contiguous: [`PairMatrix::clear_row`] wipes an element's pairs in
+//!   `n/64` word reads instead of the triangle's `O(n)` strided probes.
 //! * [`BitRow`] is a plain `n`-bit set — class rows, marks, visited flags —
 //!   with word-parallel intersection, difference, and extraction.
 //!
@@ -116,15 +122,6 @@ impl PairBitset {
         let was = *word & mask != 0;
         *word &= !mask;
         was
-    }
-
-    /// Best-effort prefetch hint for the word holding pair `(i, j)`: touches
-    /// the word with a read the optimizer must keep, pulling its cache line
-    /// in before the caller's dependent access. (The workspace forbids
-    /// `unsafe`, so this is a plain warming read rather than a `prefetcht0`.)
-    #[inline]
-    pub fn prefetch(&self, i: usize, j: usize) {
-        std::hint::black_box(self.words[self.word_index(i, j)]);
     }
 
     /// Number of set pairs, counted 64 at a time.
@@ -240,6 +237,86 @@ impl PairBitset {
             offset += take;
         }
         false
+    }
+}
+
+/// A symmetric relation over `0..n` as a full `n × n` bit matrix.
+///
+/// Row `a` is `⌈n/64⌉` contiguous words holding bit `b` for every partner
+/// `b` of `a`; [`PairMatrix::set`] writes both `(a, b)` and `(b, a)`, so a
+/// test reads one word and a whole row can be wiped word by word. See the
+/// module docs for how it trades bits against [`PairBitset`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PairMatrix {
+    n: usize,
+    /// Words per row.
+    stride: usize,
+    words: Vec<u64>,
+}
+
+impl PairMatrix {
+    /// Creates the empty relation over `n` elements.
+    pub fn new(n: usize) -> Self {
+        let stride = n.div_ceil(64);
+        Self {
+            n,
+            stride,
+            words: vec![0u64; n * stride],
+        }
+    }
+
+    /// Number of elements (not pairs).
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    #[inline]
+    fn locate(&self, a: usize, b: usize) -> (usize, u64) {
+        debug_assert!(
+            a < self.n && b < self.n,
+            "pair ({a}, {b}) out of range for n = {}",
+            self.n
+        );
+        (a * self.stride + b / 64, 1u64 << (b % 64))
+    }
+
+    /// Tests the pair — one word of row `a`.
+    #[inline]
+    pub fn test(&self, a: usize, b: usize) -> bool {
+        let (word, mask) = self.locate(a, b);
+        self.words[word] & mask != 0
+    }
+
+    /// Sets the pair in both orientations; returns `true` if it was
+    /// previously clear.
+    #[inline]
+    pub fn set(&mut self, a: usize, b: usize) -> bool {
+        let (word, mask) = self.locate(a, b);
+        let fresh = self.words[word] & mask == 0;
+        self.words[word] |= mask;
+        let (mirror, mirror_mask) = self.locate(b, a);
+        self.words[mirror] |= mirror_mask;
+        fresh
+    }
+
+    /// Clears every pair `(e, z)`: each word of row `e` is taken whole, and
+    /// the mirror bit `(z, e)` of each of its set bits is cleared. Returns
+    /// the number of pairs cleared, each pair counted once.
+    pub fn clear_row(&mut self, e: usize) -> usize {
+        assert!(e < self.n, "row {e} out of range for n = {}", self.n);
+        let row = e * self.stride;
+        let (mirror_word, mirror_mask) = (e / 64, !(1u64 << (e % 64)));
+        let mut cleared = 0;
+        for w in 0..self.stride {
+            let mut word = std::mem::take(&mut self.words[row + w]);
+            cleared += word.count_ones() as usize;
+            while word != 0 {
+                let z = w * 64 + word.trailing_zeros() as usize;
+                self.words[z * self.stride + mirror_word] &= mirror_mask;
+                word &= word - 1;
+            }
+        }
+        cleared
     }
 }
 
@@ -548,7 +625,6 @@ mod tests {
         assert!(!s.test(0, 1));
         assert!(!s.test(0, 2));
         assert!(s.test(30, 35), "other words untouched");
-        s.prefetch(30, 35); // smoke: must not panic
     }
 
     #[test]
@@ -702,6 +778,35 @@ mod tests {
                     .collect();
                 expected.sort_unstable();
                 prop_assert_eq!(row, expected);
+            }
+        }
+
+        #[test]
+        fn pair_matrix_matches_hashset_reference(
+            size in 0usize..5,
+            ops in proptest::collection::vec((0usize..65, 0usize..65, 0u8..3), 0..200)
+        ) {
+            let n = [0usize, 1, 2, 64, 65][size];
+            let mut matrix = PairMatrix::new(n);
+            let mut reference: HashSet<(usize, usize)> = HashSet::new();
+            for (a, b, op) in ops {
+                if n == 0 { continue; }
+                let (a, b) = (a % n, b % n);
+                if op < 2 {
+                    prop_assert_eq!(matrix.set(a, b), reference.insert((a.min(b), a.max(b))));
+                } else {
+                    let before = reference.len();
+                    reference.retain(|&(x, y)| x != a && y != a);
+                    prop_assert_eq!(matrix.clear_row(a), before - reference.len());
+                }
+            }
+            prop_assert_eq!(matrix.n(), n);
+            for i in 0..n {
+                for j in 0..n {
+                    // Both orientations: symmetric, and no mirror bit left
+                    // behind by a row clear.
+                    prop_assert_eq!(matrix.test(i, j), reference.contains(&(i.min(j), i.max(j))));
+                }
             }
         }
 

@@ -9,8 +9,9 @@
 //! * [`UnionFind`] — disjoint sets with union by size and path compression,
 //!   the bookkeeping structure used to aggregate discovered equivalences.
 //! * [`bitset`] — the packed substrates: [`PairBitset`], one bit per
-//!   unordered pair in a flat upper-triangular word array, and [`BitRow`],
-//!   a flat per-element bit set. The adversary knowledge graph, the
+//!   unordered pair in a flat upper-triangular word array, [`PairMatrix`],
+//!   a symmetric relation with one contiguous word row per element, and
+//!   [`BitRow`], a flat per-element bit set. The adversary knowledge graph, the
 //!   union-find class views, and the word-parallel `same_batch` oracle path
 //!   are all built on these.
 //! * [`DiGraph`] — a compact adjacency-list directed graph.
@@ -33,7 +34,7 @@ pub mod hamiltonian;
 pub mod scc;
 pub mod union_find;
 
-pub use bitset::{coord_to_idx, BitRow, PairBitset};
+pub use bitset::{coord_to_idx, BitRow, PairBitset, PairMatrix};
 pub use coloring::{EquitableColoring, WeightedEquitableColoring};
 pub use connected::{components_as_bitrows, connected_components};
 pub use digraph::DiGraph;
